@@ -10,6 +10,12 @@
 // Per-goroutine order is preserved (each goroutine waits for its response
 // before its next request), which is all a queue client can use anyway.
 //
+// One reader goroutine per connection takes responses in through a
+// 32 KiB buffered reader, so a frame — or a burst of pipelined frames —
+// costs one read(2), not one per header field. Requests are encoded into
+// a per-connection buffer and sent with one write(2) each, and response
+// slots are recycled, so a round trip allocates nothing on the client.
+//
 // # Failure semantics
 //
 // The client distinguishes the two failure shapes the wire protocol can
@@ -38,6 +44,7 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -90,7 +97,12 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-const defaultMaxReconnects = 8
+const (
+	defaultMaxReconnects = 8
+	// readBufSize sizes each connection's read buffer: one read(2) takes
+	// in a burst of pipelined responses.
+	readBufSize = 32 * 1024
+)
 
 // Client is a connection to one queue server. Safe for concurrent use.
 type Client struct {
@@ -119,13 +131,61 @@ type Client struct {
 type connHandle struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serialises frame writes
+	// wmu serialises frame writes and guards the encode buffers: the
+	// request's payload (pbuf) and the frame around it (wbuf).
+	wmu        sync.Mutex
+	wbuf, pbuf []byte
 
 	mu      sync.Mutex
-	pending map[uint64]chan wire.Frame
+	pending map[uint64]*call
 	nextID  uint64
 	dead    bool
 	err     error
+}
+
+// call is one operation's response slot. Registering it under a request
+// id hands it to the connection, which resolves it exactly once: the
+// reader copies the response into it, or the handle's death fails it.
+// Slots are recycled through callPool, so an operation allocates neither
+// a channel nor a payload copy.
+type call struct {
+	done chan struct{} // capacity 1: one resolution per registration
+	resp wire.Frame    // valid after done when ok; Payload aliases buf
+	buf  []byte
+	ok   bool // false: the connection died before the response arrived
+}
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
+// resolve records the response (ok) or the connection's death (!ok) and
+// wakes the waiter. f.Payload is copied: it aliases the reader's buffer.
+func (cl *call) resolve(f wire.Frame, ok bool) {
+	if ok {
+		cl.buf = append(cl.buf[:0], f.Payload...)
+		cl.resp = wire.Frame{Type: f.Type, ID: f.ID, Payload: cl.buf}
+	}
+	cl.ok = ok
+	cl.done <- struct{}{}
+}
+
+// request is one operation's frame minus its id, which each attempt
+// assigns afresh.
+type request struct {
+	typ  wire.Type
+	arg  int   // the ENQ value or the DEQ_BATCH maximum
+	vals []int // the ENQ_BATCH values
+}
+
+func (r request) appendPayload(p []byte) []byte {
+	switch r.typ {
+	case wire.Enq:
+		return wire.AppendValue(p, int64(r.arg))
+	case wire.EnqBatch:
+		return wire.AppendValues(p, r.vals)
+	case wire.DeqBatch:
+		return wire.AppendCount(p, r.arg)
+	}
+	return p
 }
 
 // New returns a Client for cfg; the first operation dials.
@@ -239,7 +299,7 @@ func (c *Client) handle() (*connHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &connHandle{conn: conn, pending: make(map[uint64]chan wire.Frame)}
+	h := &connHandle{conn: conn, pending: make(map[uint64]*call)}
 	c.conn = h
 	c.dials++
 	go c.readLoop(h)
@@ -263,9 +323,10 @@ func (c *Client) dropConn(h *connHandle, err error) {
 // request resolves exactly once — the invariant behind "an acknowledged
 // enqueue is never resent".
 func (c *Client) readLoop(h *connHandle) {
+	br := bufio.NewReaderSize(h.conn, readBufSize)
 	var buf []byte
 	for {
-		f, newBuf, err := wire.Read(h.conn, buf)
+		f, newBuf, err := wire.Read(br, buf)
 		if err != nil {
 			// A checksum or magic failure means the stream carried bytes
 			// that are not the frame the server sent: the response (and
@@ -281,12 +342,11 @@ func (c *Client) readLoop(h *connHandle) {
 		}
 		buf = newBuf
 		h.mu.Lock()
-		ch, ok := h.pending[f.ID]
+		cl, ok := h.pending[f.ID]
 		delete(h.pending, f.ID)
 		h.mu.Unlock()
 		if ok {
-			f.Payload = append([]byte(nil), f.Payload...) // detach from the read buffer
-			ch <- f
+			cl.resolve(f, true)
 		}
 		// An unmatched id (e.g. an ERR broadcast with id 0) carries no
 		// waiter; connection-fatal conditions surface as the read error
@@ -295,7 +355,7 @@ func (c *Client) readLoop(h *connHandle) {
 }
 
 // fail marks h dead and resolves every still-pending request with the
-// handle's error by closing its channel.
+// handle's error.
 func (h *connHandle) fail(err error) {
 	h.mu.Lock()
 	if h.dead {
@@ -308,29 +368,44 @@ func (h *connHandle) fail(err error) {
 	h.pending = nil
 	h.mu.Unlock()
 	h.conn.Close()
-	for _, ch := range pending {
-		close(ch)
+	for _, cl := range pending {
+		cl.resolve(wire.Frame{}, false)
 	}
 }
 
-// register allocates a request id and its response slot.
-func (h *connHandle) register() (uint64, chan wire.Frame, error) {
+// register allocates a request id for cl's response.
+func (h *connHandle) register(cl *call) (uint64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.dead {
-		return 0, nil, h.err
+		return 0, h.err
 	}
 	h.nextID++
-	id := h.nextID
-	ch := make(chan wire.Frame, 1)
-	h.pending[id] = ch
-	return id, ch, nil
+	h.pending[h.nextID] = cl
+	return h.nextID, nil
 }
 
-// roundTrip sends the frame built by build and waits for its response,
-// transparently redialling on connection failure. build is re-invoked per
-// attempt with the fresh request id. Responses of type Err become errors.
-func (c *Client) roundTrip(build func(id uint64) wire.Frame) (wire.Frame, error) {
+// write sends r as one frame with request id id. OpTimeout bounds the
+// write too, not just the response wait: a blackholed peer that accepts
+// no bytes would otherwise wedge the attempt before the await even
+// starts.
+func (h *connHandle) write(id uint64, r request, timeout time.Duration) error {
+	h.wmu.Lock()
+	defer h.wmu.Unlock()
+	h.pbuf = r.appendPayload(h.pbuf[:0])
+	h.wbuf = wire.Append(h.wbuf[:0], wire.Frame{Type: r.typ, ID: id, Payload: h.pbuf})
+	if timeout > 0 {
+		h.conn.SetWriteDeadline(time.Now().Add(timeout))
+	}
+	_, err := h.conn.Write(h.wbuf)
+	return err
+}
+
+// roundTrip sends r and waits for its response in cl, transparently
+// redialling on connection failure; each attempt carries a fresh request
+// id. Responses of type Err become errors. The returned frame's Payload
+// aliases cl and is valid until cl is reused.
+func (c *Client) roundTrip(cl *call, r request) (wire.Frame, error) {
 	sleeper := backoff.Sleeper{Min: c.cfg.ReconnectMin, Max: c.cfg.ReconnectMax}
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxReconnects; attempt++ {
@@ -346,84 +421,80 @@ func (c *Client) roundTrip(build func(id uint64) wire.Frame) (wire.Frame, error)
 			c.logf("dial failed (attempt %d/%d): %v", attempt+1, c.cfg.MaxReconnects+1, err)
 			continue
 		}
-		id, ch, err := h.register()
+		id, err := h.register(cl)
 		if err != nil {
 			lastErr = err
 			c.dropConn(h, err)
 			continue
 		}
-		f := build(id)
-		h.wmu.Lock()
-		// OpTimeout bounds the write too, not just the response wait: a
-		// blackholed peer that accepts no bytes would otherwise wedge
-		// this attempt before the await even starts.
-		if c.cfg.OpTimeout > 0 {
-			h.conn.SetWriteDeadline(time.Now().Add(c.cfg.OpTimeout))
-		}
-		err = wire.Write(h.conn, f)
-		h.wmu.Unlock()
-		if err != nil {
+		if err := h.write(id, r, c.cfg.OpTimeout); err != nil {
 			// The frame may have partially left before the write failed,
 			// so this retry is inside the at-least-once window too.
 			c.resends.Add(1)
 			c.dropConn(h, fmt.Errorf("client: write: %w", err))
+			<-cl.done // the handle's death resolves the registration
 			lastErr = err
 			continue
 		}
-		resp, ok, timedOut := c.await(ch)
-		if timedOut {
+		if c.await(cl) {
 			// The server went silent without closing the connection. Drop
 			// it so the next attempt redials; the request's fate is
 			// unknown, like any connection failure.
 			c.resends.Add(1)
 			lastErr = fmt.Errorf("client: no response within %v", c.cfg.OpTimeout)
 			c.dropConn(h, lastErr)
-			c.logf("%v request timed out after %v", f.Type, c.cfg.OpTimeout)
+			<-cl.done // resolved by the drop, or by a response that raced it
+			c.logf("%v request timed out after %v", r.typ, c.cfg.OpTimeout)
 			continue
 		}
-		if !ok {
+		if !cl.ok {
 			// The connection died before this request's response. Its
 			// fate is unknown; resend on a fresh connection
 			// (at-least-once — see the package comment).
 			c.resends.Add(1)
 			lastErr = h.err
-			c.logf("%v request resent after %v", f.Type, h.err)
+			c.logf("%v request resent after %v", r.typ, h.err)
 			continue
 		}
-		if resp.Type == wire.Err {
-			return wire.Frame{}, fmt.Errorf("client: server error: %s", resp.Payload)
+		if cl.resp.Type == wire.Err {
+			return wire.Frame{}, fmt.Errorf("client: server error: %s", cl.resp.Payload)
 		}
-		return resp, nil
+		return cl.resp, nil
 	}
 	return wire.Frame{}, fmt.Errorf("client: giving up after %d attempts: %w", c.cfg.MaxReconnects+1, lastErr)
 }
 
-// await waits for one response slot to resolve, bounded by OpTimeout when
-// configured. timedOut reports that the deadline fired first; the caller
-// owns dropping the connection (the pending slot is then resolved by the
-// handle's death, never read again).
-func (c *Client) await(ch <-chan wire.Frame) (resp wire.Frame, ok, timedOut bool) {
+// await waits for cl to resolve, bounded by OpTimeout when configured.
+// It reports whether the deadline fired first; the caller then owns
+// dropping the connection, whose death resolves cl.
+func (c *Client) await(cl *call) (timedOut bool) {
 	if c.cfg.OpTimeout <= 0 {
-		resp, ok = <-ch
-		return resp, ok, false
+		<-cl.done
+		return false
 	}
 	timer := time.NewTimer(c.cfg.OpTimeout)
 	defer timer.Stop()
 	select {
-	case resp, ok = <-ch:
-		return resp, ok, false
+	case <-cl.done:
+		return false
 	case <-timer.C:
-		return wire.Frame{}, false, true
+		return true
 	}
 }
+
+// newCall takes a response slot from the pool; release it with
+// callPool.Put once the response has been read.
+func newCall() *call { return callPool.Get().(*call) }
 
 // Enqueue appends v, blocking through RETRY backpressure until the
 // server accepts it. Returns ErrDraining when the server refuses new
 // work permanently.
 func (c *Client) Enqueue(v int) error {
+	cl := newCall()
+	defer callPool.Put(cl)
 	var sleeper backoff.Sleeper
 	for {
-		resp, err := c.roundTrip(func(id uint64) wire.Frame { return wire.EnqFrame(id, int64(v)) })
+		resp, err := c.roundTrip(cl, request{typ: wire.Enq, arg: v})
 		if err != nil {
 			return err
 		}
@@ -444,7 +515,9 @@ func (c *Client) Enqueue(v int) error {
 // the wire analogue of queue.Bounded.TryEnqueue (one attempt, no backoff
 // loop).
 func (c *Client) TryEnqueue(v int) (bool, error) {
-	resp, err := c.roundTrip(func(id uint64) wire.Frame { return wire.EnqFrame(id, int64(v)) })
+	cl := newCall()
+	defer callPool.Put(cl)
+	resp, err := c.roundTrip(cl, request{typ: wire.Enq, arg: v})
 	if err != nil {
 		return false, err
 	}
@@ -484,7 +557,9 @@ func (c *Client) awaitRetry(resp wire.Frame, sleeper *backoff.Sleeper) error {
 // a value whose VALUE frame was lost; the server requeues what it can
 // prove undelivered, but the in-flight window is at-most-once.
 func (c *Client) Dequeue() (int, bool, error) {
-	resp, err := c.roundTrip(wire.DeqFrame)
+	cl := newCall()
+	defer callPool.Put(cl)
+	resp, err := c.roundTrip(cl, request{typ: wire.Deq})
 	if err != nil {
 		return 0, false, err
 	}
@@ -503,6 +578,8 @@ func (c *Client) Dequeue() (int, bool, error) {
 // accepts and RETRY backpressure. Returns how many were acknowledged
 // (all of them, unless an error cut the loop short).
 func (c *Client) EnqueueBatch(vs []int) (int, error) {
+	cl := newCall()
+	defer callPool.Put(cl)
 	done := 0
 	var sleeper backoff.Sleeper
 	for done < len(vs) {
@@ -510,11 +587,7 @@ func (c *Client) EnqueueBatch(vs []int) (int, error) {
 		if len(chunk) > wire.MaxBatch {
 			chunk = chunk[:wire.MaxBatch]
 		}
-		vals := make([]int64, len(chunk))
-		for i, v := range chunk {
-			vals[i] = int64(v)
-		}
-		resp, err := c.roundTrip(func(id uint64) wire.Frame { return wire.EnqBatchFrame(id, vals) })
+		resp, err := c.roundTrip(cl, request{typ: wire.EnqBatch, vals: chunk})
 		if err != nil {
 			return done, err
 		}
@@ -551,18 +624,22 @@ func (c *Client) DequeueBatch(dst []int) (int, error) {
 	if max > wire.MaxBatch {
 		max = wire.MaxBatch
 	}
-	resp, err := c.roundTrip(func(id uint64) wire.Frame { return wire.DeqBatchFrame(id, max) })
+	cl := newCall()
+	defer callPool.Put(cl)
+	resp, err := c.roundTrip(cl, request{typ: wire.DeqBatch, arg: max})
 	if err != nil {
 		return 0, err
 	}
 	switch resp.Type {
 	case wire.Values:
-		vs, err := wire.DecodeValues(resp.Payload)
+		// The full slice expression keeps an oversized answer from
+		// spilling into dst's spare capacity.
+		vs, err := wire.DecodeValuesTo(dst[:0:max], resp.Payload)
 		if err != nil {
 			return 0, err
 		}
-		for i, v := range vs {
-			dst[i] = int(v)
+		if len(vs) > max {
+			return 0, fmt.Errorf("client: %d values answer a DEQ_BATCH of %d", len(vs), max)
 		}
 		return len(vs), nil
 	case wire.Empty:
@@ -574,7 +651,9 @@ func (c *Client) DequeueBatch(dst []int) (int, error) {
 
 // Stats fetches the server's wire counters.
 func (c *Client) Stats() (wire.Counters, error) {
-	resp, err := c.roundTrip(wire.StatsFrame)
+	cl := newCall()
+	defer callPool.Put(cl)
+	resp, err := c.roundTrip(cl, request{typ: wire.Stats})
 	if err != nil {
 		return wire.Counters{}, err
 	}
@@ -586,7 +665,9 @@ func (c *Client) Stats() (wire.Counters, error) {
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping() error {
-	resp, err := c.roundTrip(wire.PingFrame)
+	cl := newCall()
+	defer callPool.Put(cl)
+	resp, err := c.roundTrip(cl, request{typ: wire.Ping})
 	if err != nil {
 		return err
 	}

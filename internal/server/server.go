@@ -5,14 +5,17 @@
 //
 // # Connection model
 //
-// Each accepted connection gets a reader goroutine (parses frames and
-// applies them to the queue in arrival order — per-connection FIFO, the
-// property the queue itself is about) and a writer goroutine (drains a
-// response channel into a buffered writer, flushing only when the channel
-// runs dry, so a pipelining client's responses are amortized into few
-// syscalls). The response channel's capacity is the server-side pipelining
-// window: a client that floods requests without reading responses
-// eventually blocks its own reader, not the server.
+// Each connection is served by one goroutine running one loop: read a
+// frame through a 32 KiB bufio.Reader, apply it to the queue (in arrival
+// order — per-connection FIFO, the property the queue itself is about),
+// and append the answer to a 32 KiB bufio.Writer. A pipelined burst thus
+// costs one read(2) in and one write(2) out, and a frame costs no heap
+// allocation. The flush rule: answers stay buffered only while the reader
+// already holds the whole next frame; before any read that could block
+// they are flushed, since the peer may wait for them before sending more.
+// A client that floods requests without reading the answers fills the
+// write buffer and then blocks the write — for at most WriteTimeout —
+// and the loop stops reading its requests until it drains them.
 //
 // # Backpressure
 //
@@ -39,8 +42,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,10 +57,10 @@ import (
 const (
 	// DefaultRetryHint is the base backoff hint sent in RETRY frames.
 	DefaultRetryHint = time.Millisecond
-	// outboundWindow is the per-connection response channel capacity: the
-	// number of responses a reader may compute ahead of the writer before
-	// it blocks (the server-side pipelining bound).
-	outboundWindow = 256
+	// connBufSize sizes each connection's read and write buffers: large
+	// enough that one read(2) takes in a pipelined burst of small frames
+	// and one write(2) sends all their answers.
+	connBufSize = 32 * 1024
 	// maxHintShift caps the per-connection hint escalation at base<<6.
 	maxHintShift = 6
 )
@@ -79,13 +82,14 @@ type Config struct {
 	// IdleTimeout, when positive, bounds how long a connection may go
 	// without delivering a complete frame before the server closes it, so
 	// a client that connects and goes silent cannot pin a MaxConns slot
-	// forever. The deadline is refreshed on every frame. 0 disables it.
+	// forever. The deadline is refreshed before every read that could
+	// block. 0 disables it.
 	IdleTimeout time.Duration
 	// WriteTimeout, when positive, bounds how long one write or flush to
 	// a connection may block — the mirror of IdleTimeout on the response
 	// side. Without it a peer that stops *reading* (a blackholed or
-	// stalled consumer with a full TCP window) pins the writer goroutine,
-	// and with it any values in flight to that consumer, forever — which
+	// stalled consumer with a full TCP window) pins the connection's
+	// goroutine, and with it any values in flight to that consumer, forever — which
 	// would also wedge Drain, since those values count against the
 	// backlog. On expiry the write fails, the undelivered values are
 	// requeued, and the connection dies. 0 disables it.
@@ -262,23 +266,33 @@ func (s *Server) ServeConn(conn net.Conn) {
 		s.cfg.Events.Record(telemetry.EvConnClose, id, 0, "")
 	}()
 
-	out := make(chan outMsg, outboundWindow)
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		s.writeLoop(conn, id, out)
+	c := &connState{id: id, conn: conn, bw: bufio.NewWriterSize(conn, connBufSize)}
+	// However the loop ends, what is still buffered gets one last flush,
+	// and values it fails to deliver go back in the queue. A write that
+	// already failed leaves its error in bw, so this is also where every
+	// write failure is reported and its values requeued.
+	defer func() {
+		if err := s.flush(c); err != nil {
+			s.logf("write to %v: %v", conn.RemoteAddr(), err)
+			s.requeue(id, c.unflushed)
+		}
 	}()
-	defer writerWG.Wait()
-	defer close(out)
 
-	c := &connState{id: id}
+	br := bufio.NewReaderSize(conn, connBufSize)
 	var buf []byte
 	for {
-		if s.cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		// The flush rule: answers stay buffered only while the next frame
+		// is already buffered too. Before any read that could block, they
+		// go out — the peer may be waiting for them before it sends more.
+		if !wire.Buffered(br) {
+			if s.flush(c) != nil {
+				return
+			}
+			if s.cfg.IdleTimeout > 0 {
+				conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+			}
 		}
-		f, newBuf, err := wire.Read(conn, buf)
+		f, newBuf, err := wire.Read(br, buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				s.cfg.Events.Record(telemetry.EvIdleReap, id, int64(s.cfg.IdleTimeout), "")
@@ -297,55 +311,100 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		buf = newBuf
 		resp, fatal := s.handle(c, f)
-		out <- resp
-		if fatal {
+		if s.send(c, resp) != nil || fatal {
 			return
 		}
 	}
 }
 
-// outMsg is one response in flight to the writer. deqVals carries the
-// values the frame delivers: the backlog they represent is settled only
-// after the frame is flushed to the connection, and a write failure puts
-// them back in the queue — a dequeue the consumer never received must not
-// count as delivered, or a graceful drain would declare victory while
-// dropping acknowledged elements on the floor.
-type outMsg struct {
-	frame   wire.Frame
-	deqVals []int64
-}
-
-// connState is per-connection bookkeeping owned by the reader goroutine.
+// connState is one connection's serving state, owned by the goroutine
+// running ServeConn.
 type connState struct {
 	// id is the connection's admission serial (see Server.connSeq).
-	id uint64
+	id   uint64
+	conn net.Conn
+	bw   *bufio.Writer
 	// fulls counts consecutive refused enqueues, escalating the hint.
 	fulls int
+	// unflushed holds the values of dequeue answers written to bw but
+	// not yet flushed. They are settled against the backlog only after
+	// the flush that carries them succeeds; a failed write or flush puts
+	// them back in the queue — a dequeue the consumer never received must
+	// not count as delivered, or a graceful drain would declare victory
+	// while dropping acknowledged elements on the floor.
+	unflushed []int
+	// vals and payload are reused per frame: the values of a batch
+	// enqueue, and the payload of the answer being built.
+	vals    []int
+	payload []byte
+}
+
+// send appends f to the connection's write buffer. Only a frame that
+// does not fit the buffer reaches the connection here, so only then is
+// the write deadline armed.
+func (s *Server) send(c *connState, f wire.Frame) error {
+	b := wire.Append(c.bw.AvailableBuffer(), f)
+	if len(b) > c.bw.Available() {
+		s.armWrite(c.conn)
+	}
+	_, err := c.bw.Write(b)
+	return err
+}
+
+// flush writes out the buffered answers and settles the values they
+// delivered. An earlier failed write makes it fail too: bufio.Writer
+// keeps its first error.
+func (s *Server) flush(c *connState) error {
+	if c.bw.Buffered() > 0 {
+		s.armWrite(c.conn)
+	}
+	if err := c.bw.Flush(); err != nil {
+		return err
+	}
+	if len(c.unflushed) > 0 {
+		s.settleDequeued(len(c.unflushed))
+		c.unflushed = c.unflushed[:0]
+	}
+	return nil
+}
+
+// armWrite bounds the next write or flush: a peer that has stopped
+// reading (full TCP window, blackholed route) turns into a write error
+// within WriteTimeout instead of pinning the connection's goroutine — and
+// its unflushed values, and therefore Drain — forever.
+func (s *Server) armWrite(conn net.Conn) {
+	if s.cfg.WriteTimeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	}
 }
 
 // handle applies one request frame and returns the response plus whether
-// the connection must close after sending it (protocol errors).
-func (s *Server) handle(c *connState, f wire.Frame) (outMsg, bool) {
+// the connection must close after sending it (protocol errors). The
+// response's payload is built in c.payload, valid until the next call.
+// Values a dequeue answer delivers are appended to c.unflushed.
+func (s *Server) handle(c *connState, f wire.Frame) (wire.Frame, bool) {
 	switch f.Type {
 	case wire.Enq:
 		v, err := wire.DecodeValue(f.Payload)
 		if err != nil {
-			return outMsg{frame: wire.ErrFrame(f.ID, err.Error())}, true
+			return wire.ErrFrame(f.ID, err.Error()), true
 		}
-		if n := s.enqueue([]int64{v}); n == 0 {
-			return outMsg{frame: s.refuse(c, f.ID)}, false
+		c.vals = append(c.vals[:0], int(v))
+		if n := s.enqueue(c.vals); n == 0 {
+			return s.refuse(c, f.ID), false
 		}
 		c.fulls = 0
-		return outMsg{frame: wire.AckFrame(f.ID)}, false
+		return wire.Frame{Type: wire.Ack, ID: f.ID}, false
 
 	case wire.EnqBatch:
-		vs, err := wire.DecodeValues(f.Payload)
+		vs, err := wire.DecodeValuesTo(c.vals[:0], f.Payload)
 		if err != nil {
-			return outMsg{frame: wire.ErrFrame(f.ID, err.Error())}, true
+			return wire.ErrFrame(f.ID, err.Error()), true
 		}
+		c.vals = vs
 		n := s.enqueue(vs)
 		if n == 0 && len(vs) > 0 {
-			return outMsg{frame: s.refuse(c, f.ID)}, false
+			return s.refuse(c, f.ID), false
 		}
 		// Reset the backoff hint only on full acceptance: a partial batch
 		// (n < len(vs)) proves the queue is full right now, and collapsing
@@ -354,41 +413,50 @@ func (s *Server) handle(c *connState, f wire.Frame) (outMsg, bool) {
 		if n == len(vs) && n > 0 {
 			c.fulls = 0
 		}
-		return outMsg{frame: wire.AckCountFrame(f.ID, n)}, false
+		return c.answer(wire.Ack, f.ID, wire.AppendCount(c.payload[:0], n)), false
 
 	case wire.Deq:
 		if v, ok := s.dequeueOne(); ok {
-			return outMsg{frame: wire.ValueFrame(f.ID, v), deqVals: []int64{v}}, false
+			c.unflushed = append(c.unflushed, v)
+			return c.answer(wire.Value, f.ID, wire.AppendValue(c.payload[:0], int64(v))), false
 		}
-		return outMsg{frame: wire.EmptyFrame(f.ID)}, false
+		return wire.Frame{Type: wire.Empty, ID: f.ID}, false
 
 	case wire.DeqBatch:
 		max, err := wire.DecodeCount(f.Payload)
 		if err != nil {
-			return outMsg{frame: wire.ErrFrame(f.ID, err.Error())}, true
+			return wire.ErrFrame(f.ID, err.Error()), true
 		}
-		vs := s.dequeueBatch(max)
-		if len(vs) == 0 {
-			return outMsg{frame: wire.EmptyFrame(f.ID)}, false
+		start := len(c.unflushed)
+		c.unflushed = s.dequeueBatch(c.unflushed, max)
+		if len(c.unflushed) == start {
+			return wire.Frame{Type: wire.Empty, ID: f.ID}, false
 		}
-		return outMsg{frame: wire.ValuesFrame(f.ID, vs), deqVals: vs}, false
+		return c.answer(wire.Values, f.ID, wire.AppendValues(c.payload[:0], c.unflushed[start:])), false
 
 	case wire.Stats:
 		s.cfg.Probe.Add(metrics.WireControl, 1)
-		return outMsg{frame: wire.StatsReplyFrame(f.ID, s.Counters())}, false
+		return wire.StatsReplyFrame(f.ID, s.Counters()), false
 
 	case wire.Ping:
 		s.cfg.Probe.Add(metrics.WireControl, 1)
-		return outMsg{frame: wire.PongFrame(f.ID)}, false
+		return wire.PongFrame(f.ID), false
 
 	default:
-		return outMsg{frame: wire.ErrFrame(f.ID, fmt.Sprintf("unexpected frame type %v", f.Type))}, true
+		return wire.ErrFrame(f.ID, fmt.Sprintf("unexpected frame type %v", f.Type)), true
 	}
+}
+
+// answer builds a response around payload, keeping payload's storage for
+// the next answer.
+func (c *connState) answer(t wire.Type, id uint64, payload []byte) wire.Frame {
+	c.payload = payload
+	return wire.Frame{Type: t, ID: id, Payload: payload}
 }
 
 // enqueue applies a prefix of vs to the queue under the drain gate and
 // returns how many elements were accepted (and therefore acknowledged).
-func (s *Server) enqueue(vs []int64) int {
+func (s *Server) enqueue(vs []int) int {
 	s.opMu.RLock()
 	defer s.opMu.RUnlock()
 	if s.draining.Load() {
@@ -399,19 +467,15 @@ func (s *Server) enqueue(vs []int64) int {
 	if s.batcher != nil && len(vs) > 1 {
 		// Amortized path: one reservation sweep instead of len(vs)
 		// round trips over the queue's synchronisation words.
-		ints := make([]int, len(vs))
-		for i, v := range vs {
-			ints[i] = int(v)
-		}
-		n = s.batcher.EnqueueBatch(ints)
+		n = s.batcher.EnqueueBatch(vs)
 	} else {
 		for _, v := range vs {
 			if s.bounded != nil {
-				if !s.bounded.TryEnqueue(int(v)) {
+				if !s.bounded.TryEnqueue(v) {
 					break
 				}
 			} else {
-				s.cfg.Queue.Enqueue(int(v))
+				s.cfg.Queue.Enqueue(v)
 			}
 			n++
 		}
@@ -441,10 +505,10 @@ func (s *Server) refuse(c *connState, id uint64) wire.Frame {
 	s.cfg.Probe.Add(metrics.WireRetry, 1)
 	hint := s.cfg.RetryHint << shift
 	s.cfg.Events.Record(telemetry.EvRetry, c.id, int64(hint), reason.String())
-	return wire.RetryFrame(id, reason, hint)
+	return c.answer(wire.Retry, id, wire.AppendRetry(c.payload[:0], reason, hint))
 }
 
-func (s *Server) dequeueOne() (int64, bool) {
+func (s *Server) dequeueOne() (int, bool) {
 	start := s.now()
 	v, ok := s.cfg.Queue.Dequeue()
 	if !ok {
@@ -453,42 +517,38 @@ func (s *Server) dequeueOne() (int64, bool) {
 		return 0, false
 	}
 	s.observe(metrics.Dequeue, start)
-	return int64(v), true
+	return v, true
 }
 
-func (s *Server) dequeueBatch(max int) []int64 {
+// dequeueBatch appends up to max dequeued values to dst.
+func (s *Server) dequeueBatch(dst []int, max int) []int {
 	if max <= 0 {
-		return nil
+		return dst
 	}
 	if max > wire.MaxBatch {
 		max = wire.MaxBatch
 	}
 	start := s.now()
-	var n int
-	ints := make([]int, max)
+	base := len(dst)
+	dst = slices.Grow(dst, max)
 	if s.batcher != nil {
-		n = s.batcher.DequeueBatch(ints)
+		dst = dst[:base+s.batcher.DequeueBatch(dst[base:base+max])]
 	} else {
-		for n < max {
+		for len(dst) < base+max {
 			v, ok := s.cfg.Queue.Dequeue()
 			if !ok {
 				break
 			}
-			ints[n] = v
-			n++
+			dst = append(dst, v)
 		}
 	}
-	if n == 0 {
+	if len(dst) == base {
 		s.empties.Add(1)
 		s.cfg.Probe.Add(metrics.WireEmpty, 1)
-		return nil
+		return dst
 	}
 	s.observe(metrics.Dequeue, start)
-	vs := make([]int64, n)
-	for i := 0; i < n; i++ {
-		vs[i] = int64(ints[i])
-	}
-	return vs
+	return dst
 }
 
 func (s *Server) settleDequeued(n int) {
@@ -512,83 +572,24 @@ func (s *Server) observe(op metrics.Op, start time.Time) {
 	}
 }
 
-// writeLoop drains out into conn, flushing only when no response is
-// immediately pending — the amortization that turns a pipelined burst
-// into one syscall. Delivered values are settled against the backlog only
-// after the flush that put them on the wire; values stuck in a dead
-// writer are put back in the queue (see outMsg).
-func (s *Server) writeLoop(conn net.Conn, id uint64, out <-chan outMsg) {
-	bw := newBufWriter(conn)
-	var unflushed []int64
-	// armWrite bounds the next write or flush: a peer that has stopped
-	// reading (full TCP window, blackholed route) turns into a write
-	// error within WriteTimeout instead of pinning this goroutine — and
-	// the unflushed values, and therefore Drain — forever.
-	armWrite := func() {
-		if s.cfg.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-	}
-	fail := func(what string, err error) {
-		s.logf("%s to %v: %v", what, conn.RemoteAddr(), err)
-		s.requeue(id, unflushed)
-		// Keep consuming so the reader never blocks on a dead writer; it
-		// notices the broken connection itself and closes the channel.
-		for m := range out {
-			s.requeue(id, m.deqVals)
-		}
-	}
-	for m := range out {
-		// The frame's values join unflushed before the write attempt: a
-		// failed Write may have buffered or half-sent the frame, so its
-		// values are undelivered and must be requeued with the rest.
-		unflushed = append(unflushed, m.deqVals...)
-		armWrite()
-		if err := wire.Write(bw, m.frame); err != nil {
-			fail("write", err)
-			return
-		}
-		if len(out) == 0 {
-			armWrite()
-			if err := bw.Flush(); err != nil {
-				fail("flush", err)
-				return
-			}
-			if len(unflushed) > 0 {
-				s.settleDequeued(len(unflushed))
-				unflushed = unflushed[:0]
-			}
-		}
-	}
-	armWrite()
-	if err := bw.Flush(); err != nil {
-		s.logf("final flush to %v: %v", conn.RemoteAddr(), err)
-		s.requeue(id, unflushed)
-		return
-	}
-	if len(unflushed) > 0 {
-		s.settleDequeued(len(unflushed))
-	}
-}
-
 // requeue returns undelivered values to the queue so a connected consumer
 // (or the drain) can still flush them. Redelivered values re-enter at the
 // tail — the usual at-least-once reordering, documented in DESIGN §12. If
 // a bounded queue is full the residue is dropped and settled so a drain
 // terminates instead of waiting for elements nobody holds; the Lost
 // counter records the event.
-func (s *Server) requeue(id uint64, vs []int64) {
+func (s *Server) requeue(id uint64, vs []int) {
 	if len(vs) == 0 {
 		return
 	}
 	n := 0
 	for _, v := range vs {
 		if s.bounded != nil {
-			if !s.bounded.TryEnqueue(int(v)) {
+			if !s.bounded.TryEnqueue(v) {
 				break
 			}
 		} else {
-			s.cfg.Queue.Enqueue(int(v))
+			s.cfg.Queue.Enqueue(v)
 		}
 		n++
 	}
@@ -600,10 +601,6 @@ func (s *Server) requeue(id uint64, vs []int64) {
 		s.logf("requeue: dropped %d undeliverable value(s), bounded queue full", lost)
 	}
 }
-
-// newBufWriter sizes the per-connection write buffer: large enough to
-// coalesce a pipelined burst of small frames into one syscall.
-func newBufWriter(w io.Writer) *bufio.Writer { return bufio.NewWriterSize(w, 32*1024) }
 
 // Counters snapshots the wire-path tallies. Quiescent reads are exact;
 // concurrent ones are approximate, like every counter in this module.

@@ -347,31 +347,37 @@ func TestConnLimit(t *testing.T) {
 }
 
 // TestWriteFailureRequeuesInFlight: when the frame write itself fails —
-// not just the trailing flush — the failing frame's dequeued values must
-// be requeued and their backlog conserved. A frame above the 32 KiB write
-// buffer makes wire.Write hit the dead connection directly, exercising the
-// write-error branch rather than the flush-error one.
+// not just a flush — the failing frame's dequeued values must be
+// requeued and their backlog conserved. A peer asks for 8,192 values and
+// hangs up: the 64 KiB answer is larger than the 32 KiB write buffer, so
+// it goes straight to the dead connection, exercising the write-error
+// branch rather than the flush-error one.
 func TestWriteFailureRequeuesInFlight(t *testing.T) {
+	const n = 8192 // 64 KiB payload > 32 KiB buffer
 	s := New(Config{Queue: core.NewMS[int](), Logf: t.Logf})
-	vs := make([]int64, 8192) // 64 KiB payload > 32 KiB buffer
-	for i := range vs {
-		vs[i] = int64(i)
+	for i := 0; i < n; i++ {
+		s.cfg.Queue.Enqueue(i)
 	}
-	s.backlog.Add(int64(len(vs))) // as the enqueues that produced vs did
+	s.backlog.Add(n) // as the enqueues that produced the values did
 
 	clientEnd, srvEnd := net.Pipe()
+	done := make(chan struct{})
+	go func() { s.ServeConn(srvEnd); close(done) }()
+	if err := wire.Write(clientEnd, wire.DeqBatchFrame(1, n)); err != nil {
+		t.Fatal(err)
+	}
 	clientEnd.Close() // every write to srvEnd now fails
-
-	out := make(chan outMsg, 1)
-	out <- outMsg{frame: wire.ValuesFrame(1, vs), deqVals: vs}
-	close(out)
-	s.writeLoop(srvEnd, 1, out)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeConn did not return after its peer hung up")
+	}
 
 	if got := s.Lost(); got != 0 {
 		t.Fatalf("Lost = %d, want 0 (the unbounded queue takes everything back)", got)
 	}
-	if got := s.Backlog(); got != int64(len(vs)) {
-		t.Fatalf("Backlog = %d, want %d (undelivered values stay acknowledged)", got, len(vs))
+	if got := s.Backlog(); got != n {
+		t.Fatalf("Backlog = %d, want %d (undelivered values stay acknowledged)", got, n)
 	}
 	requeued := 0
 	for {
@@ -380,8 +386,8 @@ func TestWriteFailureRequeuesInFlight(t *testing.T) {
 		}
 		requeued++
 	}
-	if requeued != len(vs) {
-		t.Fatalf("requeued %d values, want %d: the failing frame's values leaked", requeued, len(vs))
+	if requeued != n {
+		t.Fatalf("requeued %d values, want %d: the failing frame's values leaked", requeued, n)
 	}
 }
 

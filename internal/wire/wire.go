@@ -41,11 +41,13 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -204,6 +206,26 @@ type Frame struct {
 	Payload []byte
 }
 
+// Append appends the encoding of f to dst — one checksummed
+// length-prefixed frame — and returns the extended slice. It allocates
+// nothing when dst has room for the frame, so a connection that encodes
+// into its write buffer (bufio.Writer.AvailableBuffer) or a reused scratch
+// slice pays no per-frame allocation. f.Payload must not exceed
+// MaxPayload; Write reports that as an error, Append panics, since every
+// frame this module builds is bounded by construction.
+func Append(dst []byte, f Frame) []byte {
+	if len(f.Payload) > MaxPayload {
+		panic(fmt.Sprintf("wire: payload %d bytes exceeds MaxPayload %d", len(f.Payload), MaxPayload))
+	}
+	start := len(dst)
+	dst = append(dst, Magic)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(frameOverhead+len(f.Payload)))
+	dst = append(dst, byte(f.Type))
+	dst = binary.BigEndian.AppendUint64(dst, f.ID)
+	dst = append(dst, f.Payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+}
+
 // Write encodes f to w as one checksummed length-prefixed frame. It
 // performs a single Write call, so frames from goroutines sharing a
 // serialised writer are never interleaved mid-frame.
@@ -211,30 +233,33 @@ func Write(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("wire: payload %d bytes exceeds MaxPayload %d", len(f.Payload), MaxPayload)
 	}
-	body := frameOverhead + len(f.Payload)
-	buf := make([]byte, headerSize+body+crcSize)
-	buf[0] = Magic
-	binary.BigEndian.PutUint32(buf[1:], uint32(body))
-	buf[headerSize] = byte(f.Type)
-	binary.BigEndian.PutUint64(buf[headerSize+1:], f.ID)
-	copy(buf[headerSize+frameOverhead:], f.Payload)
-	crc := crc32.Checksum(buf[:headerSize+body], castagnoli)
-	binary.BigEndian.PutUint32(buf[headerSize+body:], crc)
-	_, err := w.Write(buf)
+	_, err := w.Write(Append(make([]byte, 0, headerSize+frameOverhead+len(f.Payload)+crcSize), f))
 	return err
 }
 
+// minReadBuf is the buffer Read allocates when handed none: room for the
+// header and for every single-value frame, so a fresh reader's first
+// small frame costs one allocation.
+const minReadBuf = 64
+
 // Read decodes one frame from r, verifying its CRC32-C trailer. A non-nil
-// buf is reused when large enough, so a connection's read loop makes no
-// steady-state allocations; the returned Frame's Payload aliases that
-// buffer. io.EOF is returned verbatim on a clean boundary (no partial
-// frame read), so callers can distinguish an orderly close from a
-// truncated stream (io.ErrUnexpectedEOF). A frame that opens with the
-// wrong magic byte yields an error wrapping ErrBadMagic; a frame whose
-// trailer does not match its bytes yields one wrapping ErrChecksum. Both
-// are connection-fatal: nothing after them in the stream can be trusted.
+// buf is reused when large enough — the header is read into it too — so
+// a connection's read loop makes no steady-state allocations; the
+// returned Frame's Payload aliases that buffer. Read asks r for the
+// magic byte, the length and the body separately, so r should be
+// buffered (a bufio.Reader) when it is a connection: one read(2) then
+// serves a whole frame, or many. io.EOF is returned verbatim on a clean
+// boundary (no partial frame read), so callers can distinguish an
+// orderly close from a truncated stream (io.ErrUnexpectedEOF). A frame
+// that opens with the wrong magic byte yields an error wrapping
+// ErrBadMagic; a frame whose trailer does not match its bytes yields one
+// wrapping ErrChecksum. Both are connection-fatal: nothing after them in
+// the stream can be trusted.
 func Read(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var hdr [headerSize]byte
+	if cap(buf) < minReadBuf {
+		buf = make([]byte, minReadBuf)
+	}
+	hdr := buf[:headerSize]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return Frame{}, buf, err // EOF here is a clean close
 	}
@@ -254,8 +279,12 @@ func Read(r io.Reader, buf []byte) (Frame, []byte, error) {
 	if n > frameOverhead+MaxPayload {
 		return Frame{}, buf, fmt.Errorf("wire: frame length %d exceeds limit %d", n, frameOverhead+MaxPayload)
 	}
-	// The bound check above caps this allocation at MaxPayload plus a few
-	// bytes of framing, before a single body byte is read.
+	// The header is folded into the checksum before the body overwrites
+	// it, so the body starts at buf[0] and the buffer never needs more
+	// than the body and trailer. The bound check above caps this
+	// allocation at MaxPayload plus a few bytes of framing, before a
+	// single body byte is read.
+	crc := crc32.Checksum(hdr, castagnoli)
 	if cap(buf) < int(n)+crcSize {
 		buf = make([]byte, int(n)+crcSize)
 	}
@@ -266,7 +295,6 @@ func Read(r io.Reader, buf []byte) (Frame, []byte, error) {
 		}
 		return Frame{}, buf, err
 	}
-	crc := crc32.Checksum(hdr[:], castagnoli)
 	crc = crc32.Update(crc, castagnoli, buf[:n])
 	if want := binary.BigEndian.Uint32(buf[n:]); crc != want {
 		return Frame{}, buf, fmt.Errorf("%w: computed 0x%08x, trailer 0x%08x", ErrChecksum, crc, want)
@@ -276,6 +304,19 @@ func Read(r io.Reader, buf []byte) (Frame, []byte, error) {
 		ID:      binary.BigEndian.Uint64(buf[1:9]),
 		Payload: buf[9:n],
 	}, buf, nil
+}
+
+// Buffered reports whether br already holds the whole next frame, so that
+// reading it cannot block. A server that answers pipelined requests into
+// a write buffer must flush before any read for which this is false: the
+// peer may be waiting for those answers before it sends the rest.
+func Buffered(br *bufio.Reader) bool {
+	if br.Buffered() < headerSize {
+		return false
+	}
+	hdr, _ := br.Peek(headerSize) // cannot fail: the bytes are buffered
+	n := binary.BigEndian.Uint32(hdr[1:])
+	return uint64(br.Buffered()) >= headerSize+uint64(n)+crcSize
 }
 
 // --- payload encodings ---
@@ -293,21 +334,28 @@ func DecodeValue(p []byte) (int64, error) {
 // bytes actually present *before* the result is allocated, so a corrupt
 // or hostile count can neither over-allocate nor read past the payload.
 func DecodeValues(p []byte) ([]int64, error) {
+	return DecodeValuesTo[int64](nil, p)
+}
+
+// DecodeValuesTo is DecodeValues appending to dst, with the same checks:
+// a caller that passes a reused slice with room for the batch decodes it
+// without allocating.
+func DecodeValuesTo[T ~int | ~int64](dst []T, p []byte) ([]T, error) {
 	if len(p) < 4 {
-		return nil, fmt.Errorf("wire: batch payload is %d bytes, want >= 4", len(p))
+		return dst, fmt.Errorf("wire: batch payload is %d bytes, want >= 4", len(p))
 	}
 	n := binary.BigEndian.Uint32(p)
 	if n > MaxBatch {
-		return nil, fmt.Errorf("wire: batch count %d exceeds MaxBatch %d", n, MaxBatch)
+		return dst, fmt.Errorf("wire: batch count %d exceeds MaxBatch %d", n, MaxBatch)
 	}
 	if uint64(len(p)-4) != 8*uint64(n) {
-		return nil, fmt.Errorf("wire: batch payload is %d bytes, want %d for %d values", len(p), 4+8*int64(n), n)
+		return dst, fmt.Errorf("wire: batch payload is %d bytes, want %d for %d values", len(p), 4+8*int64(n), n)
 	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = int64(binary.BigEndian.Uint64(p[4+8*i:]))
+	dst = slices.Grow(dst, int(n))
+	for i := 0; i < int(n); i++ {
+		dst = append(dst, T(binary.BigEndian.Uint64(p[4+8*i:])))
 	}
-	return vs, nil
+	return dst, nil
 }
 
 // DecodeCount reads the uint32 payload of a DeqBatch request or a batch
@@ -327,13 +375,40 @@ func DecodeRetry(p []byte) (RetryReason, time.Duration, error) {
 	return RetryReason(p[0]), time.Duration(binary.BigEndian.Uint64(p[1:])), nil
 }
 
+// AppendValue appends the payload of an Enq or Value frame.
+func AppendValue(p []byte, v int64) []byte {
+	return binary.BigEndian.AppendUint64(p, uint64(v))
+}
+
+// AppendCount appends the payload of a DeqBatch request or a batch Ack.
+func AppendCount(p []byte, n int) []byte {
+	return binary.BigEndian.AppendUint32(p, uint32(n))
+}
+
+// AppendValues appends the payload of an EnqBatch or Values frame;
+// len(vs) must not exceed MaxBatch.
+func AppendValues[T ~int | ~int64](p []byte, vs []T) []byte {
+	p = AppendCount(p, len(vs))
+	for _, v := range vs {
+		p = binary.BigEndian.AppendUint64(p, uint64(v))
+	}
+	return p
+}
+
+// AppendRetry appends the payload of a Retry frame.
+func AppendRetry(p []byte, reason RetryReason, hint time.Duration) []byte {
+	return binary.BigEndian.AppendUint64(append(p, byte(reason)), uint64(hint))
+}
+
 // --- frame constructors ---
+//
+// Each builds its frame around a freshly allocated payload. Hot paths
+// build payloads with the AppendXxx functions into a reused buffer and
+// encode with Append instead.
 
 // EnqFrame builds an Enq request.
 func EnqFrame(id uint64, v int64) Frame {
-	p := make([]byte, 8)
-	binary.BigEndian.PutUint64(p, uint64(v))
-	return Frame{Type: Enq, ID: id, Payload: p}
+	return Frame{Type: Enq, ID: id, Payload: AppendValue(nil, v)}
 }
 
 // DeqFrame builds a Deq request.
@@ -342,12 +417,12 @@ func DeqFrame(id uint64) Frame { return Frame{Type: Deq, ID: id} }
 // EnqBatchFrame builds an EnqBatch request; len(vs) must not exceed
 // MaxBatch.
 func EnqBatchFrame(id uint64, vs []int64) Frame {
-	return Frame{Type: EnqBatch, ID: id, Payload: appendValues(nil, vs)}
+	return Frame{Type: EnqBatch, ID: id, Payload: AppendValues(nil, vs)}
 }
 
 // DeqBatchFrame builds a DeqBatch request for up to max values.
 func DeqBatchFrame(id uint64, max int) Frame {
-	return Frame{Type: DeqBatch, ID: id, Payload: appendCount(nil, max)}
+	return Frame{Type: DeqBatch, ID: id, Payload: AppendCount(nil, max)}
 }
 
 // StatsFrame builds a Stats request.
@@ -361,19 +436,17 @@ func AckFrame(id uint64) Frame { return Frame{Type: Ack, ID: id} }
 
 // AckCountFrame acknowledges an EnqBatch prefix of n values.
 func AckCountFrame(id uint64, n int) Frame {
-	return Frame{Type: Ack, ID: id, Payload: appendCount(nil, n)}
+	return Frame{Type: Ack, ID: id, Payload: AppendCount(nil, n)}
 }
 
 // ValueFrame answers a Deq with v.
 func ValueFrame(id uint64, v int64) Frame {
-	p := make([]byte, 8)
-	binary.BigEndian.PutUint64(p, uint64(v))
-	return Frame{Type: Value, ID: id, Payload: p}
+	return Frame{Type: Value, ID: id, Payload: AppendValue(nil, v)}
 }
 
 // ValuesFrame answers a DeqBatch with vs.
 func ValuesFrame(id uint64, vs []int64) Frame {
-	return Frame{Type: Values, ID: id, Payload: appendValues(nil, vs)}
+	return Frame{Type: Values, ID: id, Payload: AppendValues(nil, vs)}
 }
 
 // EmptyFrame answers a Deq or DeqBatch that found nothing.
@@ -381,10 +454,7 @@ func EmptyFrame(id uint64) Frame { return Frame{Type: Empty, ID: id} }
 
 // RetryFrame refuses an enqueue with a reason and a backoff hint.
 func RetryFrame(id uint64, reason RetryReason, hint time.Duration) Frame {
-	p := make([]byte, 9)
-	p[0] = byte(reason)
-	binary.BigEndian.PutUint64(p[1:], uint64(hint))
-	return Frame{Type: Retry, ID: id, Payload: p}
+	return Frame{Type: Retry, ID: id, Payload: AppendRetry(nil, reason, hint)}
 }
 
 // PongFrame answers a Ping.
@@ -401,18 +471,6 @@ func ErrFrame(id uint64, msg string) Frame {
 // StatsReplyFrame answers a Stats request with c.
 func StatsReplyFrame(id uint64, c Counters) Frame {
 	return Frame{Type: StatsReply, ID: id, Payload: c.append(nil)}
-}
-
-func appendValues(p []byte, vs []int64) []byte {
-	p = appendCount(p, len(vs))
-	for _, v := range vs {
-		p = binary.BigEndian.AppendUint64(p, uint64(v))
-	}
-	return p
-}
-
-func appendCount(p []byte, n int) []byte {
-	return binary.BigEndian.AppendUint32(p, uint32(n))
 }
 
 // Counters is the server-side tally carried by a StatsReply: how the wire
@@ -450,7 +508,7 @@ func (c Counters) Backlog() uint64 {
 const counterFields = 6
 
 func (c Counters) append(p []byte) []byte {
-	p = appendCount(p, counterFields)
+	p = AppendCount(p, counterFields)
 	draining := uint64(0)
 	if c.Draining {
 		draining = 1

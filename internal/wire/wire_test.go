@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -237,5 +238,81 @@ func TestTypeStrings(t *testing.T) {
 		if s := r.String(); strings.HasPrefix(s, "RetryReason(") {
 			t.Errorf("reason %d has no label", r)
 		}
+	}
+}
+
+// TestAppendAndReadAllocateNothing: encoding into a buffer with room and
+// decoding with a reused buffer make no allocation, the property that
+// lets a connection serve frames without feeding the garbage collector.
+func TestAppendAndReadAllocateNothing(t *testing.T) {
+	f := EnqBatchFrame(7, []int64{1, -2, 3})
+	dst := make([]byte, 0, 128)
+	if n := testing.AllocsPerRun(100, func() { dst = Append(dst[:0], f) }); n != 0 {
+		t.Errorf("Append into a buffer with room allocates %.1f times, want 0", n)
+	}
+
+	r := bytes.NewReader(dst)
+	buf := make([]byte, 128)
+	n := testing.AllocsPerRun(100, func() {
+		r.Reset(dst)
+		got, nb, err := Read(r, buf)
+		if err != nil || got.ID != 7 {
+			t.Fatalf("Read = id %d, %v", got.ID, err)
+		}
+		buf = nb
+	})
+	if n != 0 {
+		t.Errorf("Read with a reused buffer allocates %.1f times, want 0", n)
+	}
+}
+
+// TestAppendMatchesWrite: Append and Write produce the same bytes, and
+// Append leaves what dst already held in place.
+func TestAppendMatchesWrite(t *testing.T) {
+	f := ValuesFrame(3, []int64{4, 5})
+	var w bytes.Buffer
+	if err := Write(&w, f); err != nil {
+		t.Fatal(err)
+	}
+	got := Append([]byte("prefix"), f)
+	if !bytes.Equal(got, append([]byte("prefix"), w.Bytes()...)) {
+		t.Fatalf("Append = %x, want prefix + %x", got, w.Bytes())
+	}
+}
+
+// TestBuffered: a bufio.Reader reports a frame as buffered only once all
+// of it, trailer included, is in the buffer.
+func TestBuffered(t *testing.T) {
+	frame := Append(nil, EnqFrame(1, 9))
+	pr, pw := io.Pipe()
+	br := bufio.NewReader(pr)
+	go func() {
+		pw.Write(frame[:len(frame)-1])
+		pw.Write(frame[len(frame)-1:])
+		pw.Close()
+	}()
+	if Buffered(br) {
+		t.Fatal("Buffered before any byte arrived")
+	}
+	br.Peek(len(frame) - 1) // takes in the first write
+	if Buffered(br) {
+		t.Fatal("Buffered with the last trailer byte missing")
+	}
+	br.Peek(len(frame))
+	if !Buffered(br) {
+		t.Fatal("not Buffered with the whole frame in the buffer")
+	}
+}
+
+// TestDecodeValuesTo decodes into a caller's []int, appending, and keeps
+// DecodeValues' validation.
+func TestDecodeValuesTo(t *testing.T) {
+	p := AppendValues(nil, []int{3, -1, 4})
+	got, err := DecodeValuesTo([]int{9}, p)
+	if err != nil || len(got) != 4 || got[0] != 9 || got[1] != 3 || got[2] != -1 || got[3] != 4 {
+		t.Fatalf("DecodeValuesTo = %v, %v; want [9 3 -1 4]", got, err)
+	}
+	if _, err := DecodeValuesTo[int](nil, p[:len(p)-1]); err == nil {
+		t.Fatal("DecodeValuesTo accepted a short payload")
 	}
 }
